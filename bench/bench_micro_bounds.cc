@@ -74,6 +74,30 @@ void BM_TriBoundsQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_TriBoundsQuery);
 
+// The access pattern of every sweep (kNN candidate ordering, Prim's key
+// updates, range search): one endpoint fixed while the other runs over
+// every other node. Reported per bound, so it sits beside the random-pair
+// row above.
+void BM_TriBoundsSweep(benchmark::State& state) {
+  Fixture& f = SharedFixture();
+  TriBounder tri(&f.graph);
+  std::mt19937_64 rng(13);
+  int64_t bounds = 0;
+  for (auto _ : state) {
+    const ObjectId i = static_cast<ObjectId>(rng() % kN);
+    for (ObjectId j = 0; j < kN; ++j) {
+      if (j == i || f.graph.Has(i, j)) continue;
+      benchmark::DoNotOptimize(tri.Bounds(i, j));
+      ++bounds;
+    }
+  }
+  state.SetItemsProcessed(bounds);
+  state.counters["s_per_bound"] = benchmark::Counter(
+      static_cast<double>(bounds),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TriBoundsSweep);
+
 void BM_SplubBoundsQuery(benchmark::State& state) {
   Fixture& f = SharedFixture();
   SplubBounder splub(&f.graph);

@@ -2,6 +2,8 @@
 #define METRICPROX_BOUNDS_TRI_H_
 
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "check/certificate.h"
 #include "core/bounder.h"
@@ -17,9 +19,18 @@ namespace metricprox {
 /// triangle whose two known sides constrain the missing one:
 ///     lb = max_c |dist(i,c) - dist(j,c)|
 ///     ub = min_c (dist(i,c) + dist(j,c))
-/// Computed by a linear merge over the two sorted adjacency lists, i.e.
-/// O(deg(i) + deg(j)); expected O(m/n) per lookup (Theorem 4.2). Updates
-/// are the graph insertion itself, so OnEdgeResolved is a no-op here.
+/// Expected O(m/n) per lookup (Theorem 4.2). Updates are the graph
+/// insertion itself, so OnEdgeResolved is a no-op here.
+///
+/// Every sweep (kNN candidate ordering, Prim's key updates, range search)
+/// holds one endpoint fixed while the other varies, so the bounder keeps a
+/// dense *anchor row*: n doubles holding the anchor's resolved distances,
+/// -1 for unknown pairs. A bound against the anchor is then one pass over
+/// the other endpoint's adjacency — O(deg j) — gathering row[c] and keeping
+/// the triangles whose row entry is known. Moving the anchor costs
+/// O(deg old + deg new) to clear and re-scatter the row. The row is
+/// allocated on the first bound (n x 8 bytes per bounder) and refreshed
+/// whenever the anchor's degree changes, since edges are only ever added.
 ///
 /// Bounds are looser than SPLUB's (paths longer than 2 are ignored) but the
 /// scheme is the paper's recommended practical plug-in for large inputs.
@@ -34,6 +45,11 @@ namespace metricprox {
 /// so a TriBounder constructed with the space's rho stays valid — and the
 /// framework's exactness guarantee carries over unchanged. (SPLUB/ADM/DFT
 /// compose the inequality along longer paths and require rho = 1.)
+///
+/// The anchor row and the triangle scratch are per instance, not per
+/// thread: concurrent sessions each driving their own TriBounder share no
+/// mutable state, but one instance must not be driven from two threads at
+/// once (the same contract as the resolver that owns it).
 class TriBounder : public Bounder {
  public:
   explicit TriBounder(const PartialDistanceGraph* graph, double rho = 1.0)
@@ -44,29 +60,41 @@ class TriBounder : public Bounder {
 
   std::string_view name() const override { return "tri"; }
 
-  /// Merge-intersects the two SoA adjacency columns and reduces the matched
-  /// triangles through the dispatched tri-reduce kernel (bit-identical to
-  /// the historical lambda walk on every tier; see core/simd.h). The merge
-  /// scratch is a member — per bounder instance, not per thread — so
-  /// concurrent sessions each driving their own TriBounder never share
-  /// mutable state through the bound path; one TriBounder instance must not
-  /// be driven from two threads at once (same contract as the resolver that
-  /// owns it).
+  /// Anchors the row at i (or at j, when j already is the anchor), then
+  /// compacts the triangles over the other endpoint's adjacency without a
+  /// branch and reduces them through the dispatched tri-reduce kernel.
+  /// The triangles arrive in the ascending-c order of
+  /// PartialDistanceGraph::ForEachCommonNeighbor, and max, min, the gap and
+  /// the sum are all symmetric in (i, j), so the interval is bit-identical
+  /// to that walk's on every tier (see core/simd.h).
   Interval Bounds(ObjectId i, ObjectId j) override {
-    const PartialDistanceGraph::AdjacencyColumns a = graph_->AdjacencyView(i);
-    const PartialDistanceGraph::AdjacencyColumns b = graph_->AdjacencyView(j);
-    return simd::TriMergeBounds(a.ids.data(), a.distances.data(),
-                                a.ids.size(), b.ids.data(),
-                                b.distances.data(), b.ids.size(), rho_,
-                                &scratch_);
+    if (j == anchor_) std::swap(i, j);
+    Anchor(i);
+    const PartialDistanceGraph::AdjacencyColumns other =
+        graph_->AdjacencyView(j);
+    const size_t degree = other.ids.size();
+    if (di_.size() < degree) {
+      di_.resize(degree);
+      dj_.resize(degree);
+    }
+    const double* row = row_.data();
+    size_t m = 0;
+    for (size_t k = 0; k < degree; ++k) {
+      const double known = row[other.ids[k]];
+      di_[m] = known;
+      dj_[m] = other.distances[k];
+      m += known >= 0.0 ? 1 : 0;
+    }
+    return simd::ActiveKernels().tri_reduce(di_.data(), dj_.data(), m, rho_,
+                                            1.0 / rho_);
   }
 
   void OnEdgeResolved(ObjectId, ObjectId, double) override {}
 
-  /// Same merge as Bounds() with argbest tracking: the interval is
-  /// reproduced bit-for-bit, and the best triangle becomes the witness —
-  /// the 2-edge path i-c-j for the upper bound, the better-oriented wrap of
-  /// one triangle side for the lower bound.
+  /// The merge walk over both adjacency lists with argbest tracking: the
+  /// interval equals Bounds() bit for bit, and the best triangle becomes
+  /// the witness — the 2-edge path i-c-j for the upper bound, the
+  /// better-oriented wrap of one triangle side for the lower bound.
   bool CertifyBounds(ObjectId i, ObjectId j,
                      BoundCertificate* cert) override {
     double lb = 0.0;
@@ -123,9 +151,33 @@ class TriBounder : public Bounder {
   double rho() const { return rho_; }
 
  private:
+  /// Makes row_ hold exactly i's resolved distances. A no-op while i is
+  /// the anchor and its degree is unchanged.
+  void Anchor(ObjectId i) {
+    const size_t degree = graph_->Degree(i);
+    if (i == anchor_ && degree == anchor_degree_) return;
+    if (row_.empty()) row_.assign(graph_->num_objects(), -1.0);
+    if (i != anchor_ && anchor_ != kInvalidObject) {
+      for (const ObjectId c : graph_->AdjacencyView(anchor_).ids) {
+        row_[c] = -1.0;
+      }
+    }
+    const PartialDistanceGraph::AdjacencyColumns view =
+        graph_->AdjacencyView(i);
+    for (size_t k = 0; k < degree; ++k) row_[view.ids[k]] = view.distances[k];
+    anchor_ = i;
+    anchor_degree_ = degree;
+  }
+
   const PartialDistanceGraph* graph_;  // not owned
   double rho_;
-  simd::TriScratch scratch_;
+  // row_[c] = d(anchor_, c), or -1 when (anchor_, c) is unknown.
+  std::vector<double> row_;
+  ObjectId anchor_ = kInvalidObject;
+  size_t anchor_degree_ = 0;
+  // Kept triangle sides (anchor side, other side) for one tri_reduce call.
+  std::vector<double> di_;
+  std::vector<double> dj_;
 };
 
 }  // namespace metricprox

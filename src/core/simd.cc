@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "core/logging.h"
 
@@ -469,36 +468,6 @@ const KernelTable& KernelsForTier(Tier tier) {
 }
 
 const KernelTable& ActiveKernels() { return KernelsForTier(ActiveTier()); }
-
-Interval TriMergeBounds(const ObjectId* ids_a, const double* dist_a, size_t na,
-                        const ObjectId* ids_b, const double* dist_b, size_t nb,
-                        double rho, TriScratch* scratch) {
-  // The caller-owned scratch is reused across calls: common-neighbor counts
-  // vary wildly (a few in sparse phases, O(n) after a warm start), and the
-  // reduction kernel wants the whole intersection contiguous so the clamp
-  // happens once, not per chunk (per-chunk clamping would change lb near
-  // crossing intervals).
-  std::vector<double>& di_scratch = scratch->di;
-  std::vector<double>& dj_scratch = scratch->dj;
-  di_scratch.clear();
-  dj_scratch.clear();
-  size_t x = 0;
-  size_t y = 0;
-  while (x < na && y < nb) {
-    if (ids_a[x] == ids_b[y]) {
-      di_scratch.push_back(dist_a[x]);
-      dj_scratch.push_back(dist_b[y]);
-      ++x;
-      ++y;
-    } else if (ids_a[x] < ids_b[y]) {
-      ++x;
-    } else {
-      ++y;
-    }
-  }
-  return ActiveKernels().tri_reduce(di_scratch.data(), dj_scratch.data(),
-                                    di_scratch.size(), rho, 1.0 / rho);
-}
 
 }  // namespace simd
 }  // namespace metricprox

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "core/status.h"
 #include "core/types.h"
@@ -61,7 +60,7 @@ enum class DistanceKind : uint8_t {
 /// The runtime-dispatched kernel table. Every entry has a scalar reference
 /// implementation, and every SIMD implementation is bit-identical to it by
 /// construction:
-///   * pivot_scan / tri_merge only combine lanes through max/min, which are
+///   * pivot_scan / tri_reduce only combine lanes through max/min, which are
 ///     associative and commutative over the non-NaN doubles that reach
 ///     them, so lane order cannot change the result;
 ///   * batch_distance vectorizes ACROSS pairs — each SIMD lane accumulates
@@ -100,30 +99,6 @@ const KernelTable& ActiveKernels();
 /// Kernel table of a specific tier, clamped to DetectedTier(). Lets tests
 /// and benches compare tiers side by side without flipping the global.
 const KernelTable& KernelsForTier(Tier tier);
-
-/// Caller-owned scratch for TriMergeBounds: the matched triangle sides of
-/// the merge-intersection, kept contiguous so the reduction clamps once
-/// over the whole intersection. Callers (TriBounder holds one per
-/// instance) reuse the same scratch across calls so the capacity is paid
-/// once; distinct resolvers/sessions own distinct scratch, so concurrent
-/// bound scans never share mutable state through this layer (the previous
-/// function-local `thread_local` hid per-thread buffers that outlived the
-/// bounders using them and coupled every resolver on a thread).
-struct TriScratch {
-  std::vector<double> di;
-  std::vector<double> dj;
-};
-
-/// Convenience wrapper for the Tri bounder: merge-intersects two adjacency
-/// columns sorted ascending by id (the graph's CSR view) into `scratch`
-/// and feeds the matched distance pairs through the active tri_reduce
-/// kernel. The merge itself is branchy pointer-chasing (never worth
-/// vectorizing at proximity-graph degrees); the arithmetic reduction is
-/// where the SIMD tiers differ.
-Interval TriMergeBounds(const ObjectId* ids_a, const double* dist_a,
-                        size_t na, const ObjectId* ids_b,
-                        const double* dist_b, size_t nb, double rho,
-                        TriScratch* scratch);
 
 }  // namespace simd
 }  // namespace metricprox

@@ -1,6 +1,8 @@
 #include "graph/partial_graph.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace metricprox {
 
@@ -29,31 +31,46 @@ void PartialDistanceGraph::Insert(ObjectId i, ObjectId j, double d) {
   CHECK_LT(i, num_objects());
   CHECK_LT(j, num_objects());
   CHECK_GE(d, 0.0) << "negative distance from oracle";
-  const bool inserted = edge_map_.emplace(EdgeKey(i, j), d).second;
-  CHECK(inserted) << "duplicate edge (" << i << ", " << j << ")";
+  CHECK(Find(i, j) == nullptr) << "duplicate edge (" << i << ", " << j << ")";
   InsertSorted(&adjacency_[i], &csr_ids_[i], &csr_dist_[i], j, d);
   InsertSorted(&adjacency_[j], &csr_ids_[j], &csr_dist_[j], i, d);
   edges_.push_back(WeightedEdge{i, j, d});
 }
 
 void PartialDistanceGraph::InsertEdges(std::span<const WeightedEdge> batch) {
-  std::vector<ObjectId> touched;
-  touched.reserve(2 * batch.size());
-  for (const WeightedEdge& e : batch) {
+  // Sorting (pair, index) puts every repeat of a pair right after its first
+  // occurrence in the batch, which is the copy that gets inserted.
+  std::vector<std::pair<uint64_t, size_t>> order;
+  order.reserve(batch.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    const WeightedEdge& e = batch[k];
     CHECK_NE(e.u, e.v) << "self-edge";
     CHECK_LT(e.u, num_objects());
     CHECK_LT(e.v, num_objects());
     CHECK_GE(e.weight, 0.0) << "negative distance from oracle";
-    const auto [it, inserted] = edge_map_.emplace(EdgeKey(e.u, e.v), e.weight);
-    if (!inserted) {
-      // Exact duplicates are no-ops so a warm-start bulk load composes with
-      // edges the graph already holds (checkpoint resume, repeated loads).
-      // A *conflicting* distance still dies: two values for one pair means
-      // the edges come from different metric spaces.
-      CHECK_EQ(it->second, e.weight)
-          << "conflicting duplicate edge (" << e.u << ", " << e.v << ")";
-      continue;
-    }
+    order.emplace_back(EdgeKey(e.u, e.v).packed(), k);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<char> skip(batch.size(), 0);
+  for (size_t r = 0; r < order.size(); ++r) {
+    const WeightedEdge& e = batch[order[r].second];
+    const bool repeat = r > 0 && order[r - 1].first == order[r].first;
+    const double* known =
+        repeat ? &batch[order[r - 1].second].weight : Find(e.u, e.v);
+    if (known == nullptr) continue;
+    // Exact duplicates are no-ops so a warm-start bulk load composes with
+    // edges the graph already holds (checkpoint resume, repeated loads).
+    // A *conflicting* distance still dies: two values for one pair means
+    // the edges come from different metric spaces.
+    CHECK_EQ(*known, e.weight)
+        << "conflicting duplicate edge (" << e.u << ", " << e.v << ")";
+    skip[order[r].second] = 1;
+  }
+  std::vector<ObjectId> touched;
+  touched.reserve(2 * batch.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (skip[k]) continue;
+    const WeightedEdge& e = batch[k];
     adjacency_[e.u].push_back(Neighbor{e.v, e.weight});
     adjacency_[e.v].push_back(Neighbor{e.u, e.weight});
     touched.push_back(e.u);

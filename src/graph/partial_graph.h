@@ -1,9 +1,10 @@
 #ifndef METRICPROX_GRAPH_PARTIAL_GRAPH_H_
 #define METRICPROX_GRAPH_PARTIAL_GRAPH_H_
 
+#include <algorithm>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -15,7 +16,6 @@ namespace metricprox {
 /// oracle has been asked for dist(i, j) = d.
 ///
 /// Representation:
-///  * a hash map EdgeKey -> distance for O(1) lookups and duplicate checks;
 ///  * per-node adjacency lists sorted by neighbor id, so the Tri Scheme can
 ///    intersect two lists with a linear merge (the role played by the
 ///    balanced BSTs in the paper; a flat sorted array gives the same
@@ -26,8 +26,10 @@ namespace metricprox {
 ///    and distances separately instead of striding over Neighbor structs;
 ///  * an append-only edge list for SPLUB's scan over known edges.
 ///
-/// Insertion cost is O(deg) for the sorted-vector splices plus O(1)
-/// amortized hashing; all bench workloads are read-dominated.
+/// There is no hash map: Get, Has and the duplicate checks of Insert and
+/// InsertEdges binary-search the shorter of the two endpoints' sorted id
+/// columns, O(log min(deg_i, deg_j)). Insertion cost is O(deg) for the
+/// sorted-vector splices; all bench workloads are read-dominated.
 class PartialDistanceGraph {
  public:
   struct Neighbor {
@@ -53,15 +55,13 @@ class PartialDistanceGraph {
   }
   size_t num_edges() const { return edges_.size(); }
 
-  bool Has(ObjectId i, ObjectId j) const {
-    return edge_map_.find(EdgeKey(i, j)) != edge_map_.end();
-  }
+  bool Has(ObjectId i, ObjectId j) const { return Find(i, j) != nullptr; }
 
   /// The resolved distance, or nullopt if (i, j) is still unknown.
   std::optional<double> Get(ObjectId i, ObjectId j) const {
-    auto it = edge_map_.find(EdgeKey(i, j));
-    if (it == edge_map_.end()) return std::nullopt;
-    return it->second;
+    const double* d = Find(i, j);
+    if (d == nullptr) return std::nullopt;
+    return *d;
   }
 
   /// Records dist(i, j) = d. CHECK-fails on duplicates, self-edges and
@@ -74,9 +74,11 @@ class PartialDistanceGraph {
   /// (same pair, same distance) — against the graph or within the batch —
   /// is skipped silently, so a warm-start load followed by a resolver
   /// insert of an already-known edge is a no-op; a duplicate with a
-  /// *different* distance still CHECK-fails. For duplicate-free batches the
-  /// final state (sorted adjacency, edge-map contents, edges() in span
-  /// order) is identical to inserting the edges one by one.
+  /// *different* distance still CHECK-fails. Repeats within the batch are
+  /// found by sorting (pair, index) once, so a batch sharing one endpoint
+  /// costs O(b log b), not O(b^2). For duplicate-free batches the final
+  /// state (sorted adjacency, lookups, edges() in span order) is identical
+  /// to inserting the edges one by one.
   void InsertEdges(std::span<const WeightedEdge> batch);
 
   /// Neighbors of i sorted ascending by id.
@@ -124,6 +126,19 @@ class PartialDistanceGraph {
   }
 
  private:
+  /// Address of the stored dist(i, j) inside the shorter endpoint's
+  /// distance column, or nullptr if (i, j) is unknown. Invalidated by any
+  /// insert.
+  const double* Find(ObjectId i, ObjectId j) const {
+    DCHECK_LT(i, csr_ids_.size());
+    DCHECK_LT(j, csr_ids_.size());
+    if (csr_ids_[i].size() > csr_ids_[j].size()) std::swap(i, j);
+    const std::vector<ObjectId>& ids = csr_ids_[i];
+    const auto it = std::lower_bound(ids.begin(), ids.end(), j);
+    if (it == ids.end() || *it != j) return nullptr;
+    return &csr_dist_[i][static_cast<size_t>(it - ids.begin())];
+  }
+
   /// Re-derives node i's SoA columns from its (already sorted) AoS list.
   /// O(deg) copy — the same cost as the sort or splice that preceded it.
   void RebuildColumns(ObjectId i);
@@ -135,7 +150,6 @@ class PartialDistanceGraph {
   // the duplication is bounded by the resolved-edge count.
   std::vector<std::vector<ObjectId>> csr_ids_;
   std::vector<std::vector<double>> csr_dist_;
-  std::unordered_map<EdgeKey, double, EdgeKeyHash> edge_map_;
   std::vector<WeightedEdge> edges_;
 };
 

@@ -63,6 +63,10 @@ TEST(CoalescerTest, ManualFlushResolvesEverySubmitterOnce) {
     });
   }
   AwaitPending(coalescer, 2);  // symmetric dedup: only two distinct pairs
+  // Two distinct pending pairs do not mean all four submitters registered:
+  // a late duplicate that joined after the flush would wait forever under
+  // manual_flush. Both duplicate joins must land before the flush.
+  while (coalescer.counters().dedup_hits != 2) std::this_thread::yield();
   EXPECT_EQ(coalescer.FlushNow(), 2u);
   for (std::thread& t : waiters) t.join();
 

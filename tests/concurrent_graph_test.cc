@@ -7,8 +7,8 @@
 // while a writer hammers the same node. The last two tests are the
 // regression layer for the satellite bugfix: the SIMD dispatch tier is read
 // concurrently with SetTier (fails under TSan on the pre-atomic layout),
-// and per-bounder TriMergeBounds scratch no longer aliases across bounders
-// sharing a thread.
+// and per-bounder Tri scratch and anchor rows never alias across bounders
+// sharing a thread or across threads.
 
 #include <algorithm>
 #include <atomic>
@@ -322,7 +322,7 @@ TEST(SimdDispatchRaceTest, ConcurrentSetTierAndBoundScans) {
   simd::SetTier(original);
 }
 
-// Two TriBounders driven alternately from ONE thread must not share merge
+// Two TriBounders driven alternately from ONE thread must not share Tri
 // scratch: with the old thread_local buffers both bounders aliased the same
 // per-thread vectors (harmless then, a lifetime trap under sessions); the
 // scratch is now owned per bounder instance. Interleaved scans must equal
@@ -355,8 +355,11 @@ TEST(TriScratchTest, InterleavedBoundersDoNotShareScratch) {
 }
 
 // And from MANY threads: one TriBounder per thread over a shared immutable
-// graph, scanning concurrently while the dispatch tier flips. TSan-clean
-// only with per-instance scratch and the atomic tier.
+// graph, scanning concurrently while the dispatch tier flips. Each thread
+// runs fixed-endpoint sweeps from its own starting anchor, in both
+// orientations, so every bounder's anchor row is scattered, read through
+// the swap path and cleared over and over. TSan-clean only with
+// per-instance scratch and anchor rows and the atomic tier.
 TEST(TriScratchTest, ConcurrentPerSessionBoundersAreRaceFree) {
   const simd::Tier original = simd::ActiveTier();
   const ObjectId n = 24;
@@ -366,26 +369,34 @@ TEST(TriScratchTest, ConcurrentPerSessionBoundersAreRaceFree) {
       if ((u * 7 + v) % 5 != 0) graph.Insert(u, v, EdgeWeight(u, v));
     }
   }
-  // Reference intervals computed single-threaded.
-  std::vector<Interval> want;
-  {
-    TriBounder bounder(&graph);
-    for (ObjectId u = 0; u < n; ++u) {
-      for (ObjectId v = u + 1; v < n; ++v) {
-        want.push_back(bounder.Bounds(u, v));
-      }
+  // Reference intervals computed single-threaded, one fresh bounder per
+  // pair so no anchor is reused.
+  std::vector<Interval> want(static_cast<size_t>(n) * n);
+  for (ObjectId u = 0; u < n; ++u) {
+    for (ObjectId v = 0; v < n; ++v) {
+      if (u == v) continue;
+      TriBounder bounder(&graph);
+      want[static_cast<size_t>(u) * n + v] = bounder.Bounds(u, v);
     }
   }
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       TriBounder bounder(&graph);
-      size_t k = 0;
-      for (ObjectId u = 0; u < n; ++u) {
-        for (ObjectId v = u + 1; v < n; ++v, ++k) {
-          const Interval got = bounder.Bounds(u, v);
-          ASSERT_EQ(got.lo, want[k].lo);
-          ASSERT_EQ(got.hi, want[k].hi);
+      for (int pass = 0; pass < 3; ++pass) {
+        for (ObjectId step = 0; step < n; ++step) {
+          const ObjectId u = (static_cast<ObjectId>(5 * t + pass) + step) % n;
+          for (ObjectId v = 0; v < n; ++v) {
+            if (u == v) continue;
+            const Interval got = bounder.Bounds(u, v);
+            const Interval& ref = want[static_cast<size_t>(u) * n + v];
+            ASSERT_EQ(got.lo, ref.lo);
+            ASSERT_EQ(got.hi, ref.hi);
+            const Interval swapped = bounder.Bounds(v, u);  // j == anchor
+            const Interval& ref_swapped = want[static_cast<size_t>(v) * n + u];
+            ASSERT_EQ(swapped.lo, ref_swapped.lo);
+            ASSERT_EQ(swapped.hi, ref_swapped.hi);
+          }
         }
       }
     });

@@ -22,6 +22,7 @@
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +33,7 @@
 #include "algo/prim.h"
 #include "bounds/resolver.h"
 #include "bounds/scheme.h"
+#include "bounds/tri.h"
 #include "core/logging.h"
 #include "core/simd.h"
 #include "data/datasets.h"
@@ -146,52 +148,184 @@ TEST(KernelBitIdentityTest, BatchDistanceMatchesScalarOnEveryTier) {
   }
 }
 
-TEST(KernelBitIdentityTest, TriMergeBoundsMatchesLambdaWalkOnEveryTier) {
-  TierGuard guard;
-  // A partially resolved graph with overlapping neighborhoods.
-  const ObjectId n = 24;
-  PartialDistanceGraph graph(n);
-  std::mt19937_64 rng(17);
+// The historical templated lambda walk over ForEachCommonNeighbor,
+// verbatim: the reference every anchored TriBounder interval must match
+// bit for bit.
+Interval LambdaWalkTriBounds(const PartialDistanceGraph& graph, ObjectId i,
+                             ObjectId j, double rho) {
+  const double inv_rho = 1.0 / rho;
+  double lb = 0.0;
+  double ub = kInfDistance;
+  graph.ForEachCommonNeighbor(i, j, [&](ObjectId, double di, double dj) {
+    const double gap_ij = di * inv_rho - dj;
+    const double gap_ji = dj * inv_rho - di;
+    const double gap = gap_ij > gap_ji ? gap_ij : gap_ji;
+    if (gap > lb) lb = gap;
+    const double sum = rho * (di + dj);
+    if (sum < ub) ub = sum;
+  });
+  if (lb > ub) lb = ub;
+  return Interval{lb, ub};
+}
+
+void ExpectMatchesLambdaWalk(TriBounder* bounder,
+                             const PartialDistanceGraph& graph, ObjectId i,
+                             ObjectId j, const std::string& where) {
+  const Interval want = LambdaWalkTriBounds(graph, i, j, bounder->rho());
+  const Interval got = bounder->Bounds(i, j);
+  EXPECT_EQ(got.lo, want.lo) << where << " (" << i << "," << j << ")";
+  EXPECT_EQ(got.hi, want.hi) << where << " (" << i << "," << j << ")";
+}
+
+std::string TierLabel(simd::Tier tier, double rho) {
+  return std::string(simd::TierName(tier)) + " rho=" + std::to_string(rho);
+}
+
+/// A partially resolved graph with overlapping neighborhoods.
+void FillRandom(PartialDistanceGraph* graph, uint64_t seed, int keep_one_in) {
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> dist(0.1, 1.0);
-  for (ObjectId i = 0; i < n; ++i) {
-    for (ObjectId j = i + 1; j < n; ++j) {
-      if (rng() % 3 != 0) continue;
-      graph.Insert(i, j, dist(rng));
+  for (ObjectId i = 0; i < graph->num_objects(); ++i) {
+    for (ObjectId j = i + 1; j < graph->num_objects(); ++j) {
+      if (rng() % keep_one_in != 0) continue;
+      graph->Insert(i, j, dist(rng));
     }
   }
+}
+
+TEST(KernelBitIdentityTest, AnchoredTriBoundsMatchLambdaWalkOnEveryTier) {
+  TierGuard guard;
+  const ObjectId n = 24;
+  PartialDistanceGraph graph(n);
+  FillRandom(&graph, /*seed=*/17, /*keep_one_in=*/3);
   for (const double rho : {1.0, 2.0}) {
-    const double inv_rho = 1.0 / rho;
-    for (ObjectId i = 0; i < n; ++i) {
-      for (ObjectId j = i + 1; j < n; ++j) {
-        // The historical templated lambda walk, verbatim.
-        double lb = 0.0;
-        double ub = kInfDistance;
-        graph.ForEachCommonNeighbor(
-            i, j, [&](ObjectId, double di, double dj) {
-              const double gap_ij = di * inv_rho - dj;
-              const double gap_ji = dj * inv_rho - di;
-              const double gap = gap_ij > gap_ji ? gap_ij : gap_ji;
-              if (gap > lb) lb = gap;
-              const double sum = rho * (di + dj);
-              if (sum < ub) ub = sum;
-            });
-        if (lb > ub) lb = ub;
-        for (const simd::Tier tier : SupportedTiers()) {
-          simd::SetTier(tier);
-          const PartialDistanceGraph::AdjacencyColumns a =
-              graph.AdjacencyView(i);
-          const PartialDistanceGraph::AdjacencyColumns b =
-              graph.AdjacencyView(j);
-          simd::TriScratch scratch;
-          const Interval got = simd::TriMergeBounds(
-              a.ids.data(), a.distances.data(), a.ids.size(), b.ids.data(),
-              b.distances.data(), b.ids.size(), rho, &scratch);
-          EXPECT_EQ(got.lo, lb) << simd::TierName(tier) << " (" << i << ","
-                                << j << ") rho=" << rho;
-          EXPECT_EQ(got.hi, ub) << simd::TierName(tier) << " (" << i << ","
-                                << j << ") rho=" << rho;
+    for (const simd::Tier tier : SupportedTiers()) {
+      simd::SetTier(tier);
+      const std::string where = TierLabel(tier, rho);
+      TriBounder bounder(&graph, rho);
+      // Fixed-endpoint sweeps: i stays anchored while j varies, and every
+      // reversed call (j == anchor) takes the swap path.
+      for (ObjectId i = 0; i < n; ++i) {
+        for (ObjectId j = 0; j < n; ++j) {
+          if (i == j) continue;
+          ExpectMatchesLambdaWalk(&bounder, graph, i, j, where + " sweep");
+          ExpectMatchesLambdaWalk(&bounder, graph, j, i, where + " swapped");
         }
       }
+      // Random pairs: a re-anchor on nearly every call.
+      std::mt19937_64 rng(29);
+      for (int q = 0; q < 400; ++q) {
+        const ObjectId i = static_cast<ObjectId>(rng() % n);
+        const ObjectId j = static_cast<ObjectId>(rng() % n);
+        if (i == j) continue;
+        ExpectMatchesLambdaWalk(&bounder, graph, i, j, where + " random");
+      }
+    }
+  }
+}
+
+TEST(KernelBitIdentityTest, AnchoredTriBoundsFollowAnchorGrowth) {
+  TierGuard guard;
+  const ObjectId n = 20;
+  for (const double rho : {1.0, 2.0}) {
+    for (const simd::Tier tier : SupportedTiers()) {
+      simd::SetTier(tier);
+      const std::string where = TierLabel(tier, rho);
+      PartialDistanceGraph graph(n);
+      FillRandom(&graph, /*seed=*/5, /*keep_one_in=*/4);
+      TriBounder bounder(&graph, rho);
+      std::mt19937_64 rng(41);
+      std::uniform_real_distribution<double> dist(0.1, 1.0);
+      const ObjectId anchor = 3;
+      for (int round = 0; round < 12; ++round) {
+        for (ObjectId j = 0; j < n; ++j) {
+          if (j != anchor) {
+            ExpectMatchesLambdaWalk(&bounder, graph, anchor, j,
+                                    where + " round " + std::to_string(round));
+          }
+        }
+        // Grow the anchor between sweeps, alternating Insert and
+        // InsertEdges, and sometimes with the anchor as the second
+        // endpoint of the next call.
+        std::vector<WeightedEdge> batch;
+        const ObjectId start = static_cast<ObjectId>(rng() % n);
+        for (ObjectId step = 0; step < n && batch.size() < 2; ++step) {
+          const ObjectId other = (start + step) % n;
+          if (other == anchor || graph.Has(anchor, other)) continue;
+          batch.push_back(WeightedEdge{other, anchor, dist(rng)});
+        }
+        if (batch.empty()) break;
+        if (round % 2 == 0) {
+          for (const WeightedEdge& e : batch) graph.Insert(e.u, e.v, e.weight);
+        } else {
+          graph.InsertEdges(batch);
+        }
+        const ObjectId probe = (anchor + 1 + static_cast<ObjectId>(round)) % n;
+        if (probe != anchor && !graph.Has(anchor, probe)) {
+          ExpectMatchesLambdaWalk(&bounder, graph, probe, anchor,
+                                  where + " grown, anchor as j");
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBitIdentityTest, AnchoredTriBoundsSurviveReanchoringBackAndForth) {
+  TierGuard guard;
+  const ObjectId n = 18;
+  for (const double rho : {1.0, 2.0}) {
+    for (const simd::Tier tier : SupportedTiers()) {
+      simd::SetTier(tier);
+      const std::string where = TierLabel(tier, rho);
+      PartialDistanceGraph graph(n);
+      FillRandom(&graph, /*seed=*/9, /*keep_one_in=*/3);
+      TriBounder bounder(&graph, rho);
+      std::mt19937_64 rng(43);
+      std::uniform_real_distribution<double> dist(0.1, 1.0);
+      const ObjectId a = 2;
+      const ObjectId b = 11;
+      for (int round = 0; round < 10; ++round) {
+        // Alternate anchors; stale entries of the previous anchor's row
+        // would show up as phantom triangles here.
+        for (ObjectId j = 0; j < n; ++j) {
+          if (j != a) ExpectMatchesLambdaWalk(&bounder, graph, a, j, where);
+          if (j != b) ExpectMatchesLambdaWalk(&bounder, graph, b, j, where);
+        }
+        // Grow whichever anchor is not current, then come back to it.
+        const ObjectId grown = round % 2 == 0 ? a : b;
+        const ObjectId other = static_cast<ObjectId>(rng() % n);
+        if (other != grown && !graph.Has(grown, other)) {
+          graph.Insert(grown, other, dist(rng));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBitIdentityTest, AnchoredTriBoundsOfEmptyIntersectionAreVacuous) {
+  TierGuard guard;
+  for (const double rho : {1.0, 2.0}) {
+    for (const simd::Tier tier : SupportedTiers()) {
+      simd::SetTier(tier);
+      const std::string where = TierLabel(tier, rho);
+      // 0-1-2 is a path and 3-4 a disjoint edge; 5 is isolated. (0, 3)
+      // and (1, 4) share no neighbor, and an isolated anchor has no row.
+      PartialDistanceGraph graph(6);
+      graph.Insert(0, 1, 0.5);
+      graph.Insert(1, 2, 0.25);
+      graph.Insert(3, 4, 0.75);
+      TriBounder bounder(&graph, rho);
+      for (const auto& [i, j] : std::vector<std::pair<ObjectId, ObjectId>>{
+               {0, 3}, {3, 0}, {1, 4}, {5, 0}, {0, 5}, {5, 4}}) {
+        const Interval got = bounder.Bounds(i, j);
+        EXPECT_EQ(got.lo, 0.0) << where << " (" << i << "," << j << ")";
+        EXPECT_EQ(got.hi, kInfDistance) << where << " (" << i << "," << j
+                                        << ")";
+        ExpectMatchesLambdaWalk(&bounder, graph, i, j, where);
+      }
+      // The one real triangle still appears right after the empty ones.
+      ExpectMatchesLambdaWalk(&bounder, graph, 0, 2, where);
+      EXPECT_EQ(bounder.Bounds(0, 2).hi, rho * (0.5 + 0.25)) << where;
     }
   }
 }

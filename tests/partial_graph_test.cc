@@ -1,7 +1,10 @@
 #include "graph/partial_graph.h"
 
+#include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,9 +56,14 @@ TEST(PartialGraphTest, EdgesListPreservesInsertionOrder) {
 }
 
 TEST(PartialGraphTest, DuplicateInsertDies) {
-  PartialDistanceGraph g(3);
+  PartialDistanceGraph g(6);
   g.Insert(0, 1, 0.5);
   EXPECT_DEATH(g.Insert(1, 0, 0.7), "duplicate");
+  // The duplicate check searches the shorter column — node 3's single
+  // entry, not the hub's — whichever way round the pair is given.
+  for (ObjectId v = 2; v < 6; ++v) g.Insert(0, v, 0.5);
+  EXPECT_DEATH(g.Insert(0, 3, 0.5), "duplicate");
+  EXPECT_DEATH(g.Insert(3, 0, 0.5), "duplicate");
 }
 
 TEST(PartialGraphTest, NegativeDistanceDies) {
@@ -155,10 +163,20 @@ TEST(PartialGraphTest, InsertEdgesConflictingDuplicateDies) {
 }
 
 TEST(PartialGraphTest, InsertEdgesConflictingWithinBatchDies) {
-  PartialDistanceGraph g(4);
+  PartialDistanceGraph g(5);
   const std::vector<WeightedEdge> batch = {WeightedEdge{0, 1, 0.5},
                                            WeightedEdge{1, 0, 0.6}};
   EXPECT_DEATH(g.InsertEdges(batch), "conflicting duplicate");
+  // Conflicting copies that are neither adjacent nor first in the span.
+  const std::vector<WeightedEdge> spread = {
+      WeightedEdge{2, 3, 0.5}, WeightedEdge{1, 4, 0.25},
+      WeightedEdge{0, 2, 0.75}, WeightedEdge{4, 1, 0.3}};
+  EXPECT_DEATH(g.InsertEdges(spread), "conflicting duplicate");
+  // An exact duplicate of a graph edge, then a conflicting copy of it.
+  g.Insert(0, 1, 0.5);
+  const std::vector<WeightedEdge> against_graph = {WeightedEdge{1, 0, 0.5},
+                                                   WeightedEdge{0, 1, 0.6}};
+  EXPECT_DEATH(g.InsertEdges(against_graph), "conflicting duplicate");
 }
 
 // The CSR-style SoA mirror (AdjacencyView) must agree with the AoS
@@ -270,6 +288,85 @@ TEST(PartialGraphTest, AdjacencyViewConsistentAfterWarmStartReload) {
       EXPECT_EQ(view.distances[k], dist_before[i][k]);
     }
   }
+}
+
+// Lookups binary-search the shorter of the two sorted id columns, so every
+// pair is checked from both sides, including the skewed case where one
+// endpoint is a hub and the other has a single neighbor.
+TEST(PartialGraphTest, LookupsAreSymmetricAndAgreeWithNeighbors) {
+  std::mt19937_64 rng(31);
+  const ObjectId n = 40;
+  PartialDistanceGraph g(n);
+  for (ObjectId v = 1; v < n; ++v) g.Insert(0, v, 0.001 * v);  // hub
+  for (int step = 0; step < 200; ++step) {
+    const ObjectId a = static_cast<ObjectId>(1 + rng() % (n - 1));
+    const ObjectId b = static_cast<ObjectId>(1 + rng() % (n - 1));
+    if (a == b || g.Has(a, b)) continue;
+    const WeightedEdge e{a, b, 0.01 * static_cast<double>(rng() % 100 + 1)};
+    if (step % 3 == 0) {
+      g.InsertEdges(std::span<const WeightedEdge>(&e, 1));
+    } else {
+      g.Insert(e.u, e.v, e.weight);
+    }
+  }
+  for (ObjectId i = 0; i < n; ++i) {
+    std::vector<std::optional<double>> expected(n);
+    for (const PartialDistanceGraph::Neighbor& nb : g.Neighbors(i)) {
+      expected[nb.id] = nb.distance;
+    }
+    for (ObjectId j = 0; j < n; ++j) {
+      EXPECT_EQ(g.Get(i, j), expected[j]) << "(" << i << ", " << j << ")";
+      EXPECT_EQ(g.Get(j, i), expected[j]) << "(" << j << ", " << i << ")";
+      EXPECT_EQ(g.Has(i, j), expected[j].has_value());
+      EXPECT_EQ(g.Has(j, i), expected[j].has_value());
+    }
+  }
+}
+
+TEST(PartialGraphTest, InsertEdgesSkipsRepeatsAndKeepsSpanOrder) {
+  // Exact repeats against the graph and within the batch (in both
+  // orientations, not adjacent in the span) are skipped; the first copy of
+  // each new pair is the one recorded, and edges() keeps span order.
+  PartialDistanceGraph g(8);
+  g.Insert(5, 6, 0.125);
+  const std::vector<WeightedEdge> batch = {
+      WeightedEdge{3, 1, 0.5},  WeightedEdge{6, 5, 0.125},
+      WeightedEdge{0, 7, 0.25}, WeightedEdge{1, 3, 0.5},
+      WeightedEdge{2, 4, 1.0},  WeightedEdge{7, 0, 0.25},
+      WeightedEdge{3, 1, 0.5}};
+  g.InsertEdges(batch);
+  const std::vector<WeightedEdge> want = {
+      WeightedEdge{5, 6, 0.125}, WeightedEdge{3, 1, 0.5},
+      WeightedEdge{0, 7, 0.25}, WeightedEdge{2, 4, 1.0}};
+  EXPECT_EQ(g.edges(), want);
+  EXPECT_EQ(g.Degree(1), 1u);
+  EXPECT_EQ(g.Degree(3), 1u);
+  EXPECT_EQ(g.Degree(5), 1u);
+  EXPECT_EQ(g.Get(7, 0), 0.25);
+  ExpectViewConsistent(g);
+}
+
+TEST(PartialGraphTest, InsertEdgesSharedEndpointBatchMatchesInserts) {
+  // Prim's batches share one endpoint: a batch of every (u, v) for one u,
+  // shuffled, with every edge repeated once, must equal plain inserts.
+  const ObjectId n = 300;
+  std::mt19937_64 rng(37);
+  std::vector<WeightedEdge> batch;
+  for (ObjectId v = 1; v < n; ++v) {
+    batch.push_back(WeightedEdge{0, v, 0.01 * static_cast<double>(v)});
+  }
+  std::shuffle(batch.begin(), batch.end(), rng);
+  const std::vector<WeightedEdge> unique = batch;
+  for (const WeightedEdge& e : unique) {
+    batch.push_back(WeightedEdge{e.v, e.u, e.weight});
+  }
+  PartialDistanceGraph bulk(n);
+  bulk.InsertEdges(batch);
+  PartialDistanceGraph sequential(n);
+  for (const WeightedEdge& e : unique) sequential.Insert(e.u, e.v, e.weight);
+  EXPECT_EQ(bulk.edges(), sequential.edges());
+  EXPECT_EQ(bulk.Degree(0), static_cast<size_t>(n - 1));
+  ExpectViewConsistent(bulk);
 }
 
 TEST(PartialGraphTest, CommonNeighborMergeFindsExactlyTheTriangles) {
