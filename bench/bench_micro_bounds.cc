@@ -7,11 +7,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include "bench/common.h"
 #include "bounds/adm.h"
@@ -181,6 +184,43 @@ void BM_GraphInsertAndLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphInsertAndLookup);
+
+// Prim's batch shape at full density (mst-dna): each step resolves the node
+// just added to the tree against every node still outside it, so one
+// endpoint is shared by the whole batch, and the graph grows to complete.
+// Reported per inserted edge.
+void BM_GraphInsertEdgesPrimBatch(benchmark::State& state) {
+  constexpr ObjectId kPrimN = 1000;
+  std::vector<ObjectId> order(kPrimN);
+  std::iota(order.begin(), order.end(), ObjectId{0});
+  std::mt19937_64 rng(14);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<std::vector<WeightedEdge>> batches(kPrimN - 1);
+  for (size_t t = 0; t + 1 < order.size(); ++t) {
+    for (size_t s = t + 1; s < order.size(); ++s) {
+      batches[t].push_back(WeightedEdge{
+          order[t], order[s], 1.0 + static_cast<double>(rng() % 1000)});
+    }
+  }
+  int64_t edges = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto graph = std::make_unique<PartialDistanceGraph>(kPrimN);
+    state.ResumeTiming();
+    for (const std::vector<WeightedEdge>& batch : batches) {
+      graph->InsertEdges(batch);
+    }
+    edges += static_cast<int64_t>(graph->num_edges());
+    state.PauseTiming();
+    graph.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(edges);
+  state.counters["s_per_edge"] = benchmark::Counter(
+      static_cast<double>(edges),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GraphInsertEdgesPrimBatch)->Unit(benchmark::kMillisecond);
 
 void BM_DijkstraOverPartialGraph(benchmark::State& state) {
   Fixture& f = SharedFixture();

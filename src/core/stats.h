@@ -1,6 +1,7 @@
 #ifndef METRICPROX_CORE_STATS_H_
 #define METRICPROX_CORE_STATS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -85,7 +86,8 @@ namespace metricprox {
 //   sessions_active     gauge merged in by SessionPool::AccumulateStats:
 //                       the peak number of concurrently open resolver
 //                       sessions over the pool's lifetime (0 on runs that
-//                       never used the session layer).
+//                       never used the session layer). operator+= merges
+//                       it by max.
 //   shared_graph_hits   pair resolutions answered by the pool's shared
 //                       concurrent graph instead of the base oracle (a
 //                       cross-session cache hit; each is still counted in
@@ -115,9 +117,9 @@ namespace metricprox {
 //   kernel_dispatch     configuration gauge, not a counter: the simd::Tier
 //                       id (0 scalar, 1 sse2, 2 avx2) of the bound kernels
 //                       active when the resolver was constructed or its
-//                       stats last reset. Under operator+= it sums like
-//                       every field, so only aggregate stats across runs
-//                       of one tier (run reports always cover one).
+//                       stats last reset. operator+= merges it by max, so
+//                       summing the stats of several sessions of one tier
+//                       keeps that tier's id.
 #define METRICPROX_RESOLVER_STATS_FIELDS(X) \
   X(uint64_t, oracle_calls)                 \
   X(uint64_t, decided_by_bounds)            \
@@ -160,6 +162,13 @@ namespace metricprox {
   X(uint64_t, watchdog_stalls)              \
   X(uint64_t, kernel_dispatch)
 
+/// True for the ResolverStats fields that are gauges, not counters: a sum
+/// of tier ids is no tier and a sum of peaks is no peak, so operator+=
+/// keeps the larger value instead.
+constexpr bool IsResolverStatsGauge(std::string_view name) {
+  return name == "kernel_dispatch" || name == "sessions_active";
+}
+
 /// Counters collected by a BoundedResolver while a proximity algorithm
 /// runs. See the X-macro above for per-field semantics; `oracle_calls` is
 /// the headline metric of the paper and `decided_by_bounds` counts the
@@ -172,7 +181,8 @@ struct ResolverStats {
   void Reset() { *this = ResolverStats(); }
 
   ResolverStats& operator+=(const ResolverStats& o) {
-#define METRICPROX_STATS_ADD_FIELD(type, name) name += o.name;
+#define METRICPROX_STATS_ADD_FIELD(type, name) \
+  name = IsResolverStatsGauge(#name) ? std::max(name, o.name) : name + o.name;
     METRICPROX_RESOLVER_STATS_FIELDS(METRICPROX_STATS_ADD_FIELD)
 #undef METRICPROX_STATS_ADD_FIELD
     return *this;

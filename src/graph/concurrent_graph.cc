@@ -30,6 +30,7 @@ bool ConcurrentDistanceGraph::Has(ObjectId i, ObjectId j) const {
 
 std::optional<double> ConcurrentDistanceGraph::Get(ObjectId i,
                                                    ObjectId j) const {
+  if (i == j) return std::nullopt;  // as PartialDistanceGraph: never stored
   const EdgeKey key(i, j);
   const EdgeShard& shard = edge_shards_[EdgeShardOf(key)];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -59,43 +60,28 @@ bool ConcurrentDistanceGraph::EmplaceEdge(ObjectId i, ObjectId j, double d) {
 }
 
 void ConcurrentDistanceGraph::PublishNeighbors(
-    ObjectId i, std::span<const PartialDistanceGraph::Neighbor> add) {
-  if (add.empty()) return;
+    ObjectId i, std::span<const WeightedEdge> run) {
   NodeShard& shard = node_shards_[NodeShardOf(i)];
   std::lock_guard<std::mutex> lock(shard.mu);
   const Snapshot& current = columns_[i] ? columns_[i] : EmptyColumns();
+  // The new epoch is fully built before the swap below makes it visible.
   auto next = std::make_shared<NodeColumns>();
-  next->ids.reserve(current->ids.size() + add.size());
-  next->distances.reserve(current->distances.size() + add.size());
-  // Linear merge of the existing (sorted) columns with the sorted additions
-  // — one pass, and the new epoch is fully built before the swap below
-  // makes it visible.
-  size_t x = 0;
-  size_t y = 0;
-  while (x < current->ids.size() || y < add.size()) {
-    const bool take_add =
-        x == current->ids.size() ||
-        (y < add.size() && add[y].id < current->ids[x]);
-    if (take_add) {
-      next->ids.push_back(add[y].id);
-      next->distances.push_back(add[y].distance);
-      ++y;
-    } else {
-      next->ids.push_back(current->ids[x]);
-      next->distances.push_back(current->distances[x]);
-      ++x;
-    }
-  }
+  next->ids.reserve(current->ids.size() + run.size());
+  next->distances.reserve(current->distances.size() + run.size());
+  next->ids.assign(current->ids.begin(), current->ids.end());
+  next->distances.assign(current->distances.begin(),
+                         current->distances.end());
+  internal::SpliceSortedRun(run, &next->ids, &next->distances);
   columns_[i] = std::move(next);
 }
 
 bool ConcurrentDistanceGraph::Insert(ObjectId i, ObjectId j, double d) {
   ValidateEdge(i, j, d);
   if (!EmplaceEdge(i, j, d)) return false;
-  const PartialDistanceGraph::Neighbor to_i{j, d};
-  const PartialDistanceGraph::Neighbor to_j{i, d};
-  PublishNeighbors(i, std::span<const PartialDistanceGraph::Neighbor>(&to_i, 1));
-  PublishNeighbors(j, std::span<const PartialDistanceGraph::Neighbor>(&to_j, 1));
+  const WeightedEdge to_i{i, j, d};
+  const WeightedEdge to_j{j, i, d};
+  PublishNeighbors(i, {&to_i, 1});
+  PublishNeighbors(j, {&to_j, 1});
   return true;
 }
 
@@ -104,26 +90,17 @@ size_t ConcurrentDistanceGraph::InsertEdges(
   // Claim edges in the striped map first (the authority for duplicates),
   // then group the fresh ones per node so each node's adjacency is
   // published in exactly one epoch swap.
-  std::unordered_map<ObjectId,
-                     std::vector<PartialDistanceGraph::Neighbor>>
-      per_node;
-  size_t fresh = 0;
+  std::vector<WeightedEdge> fresh;
+  fresh.reserve(batch.size());
   for (const WeightedEdge& e : batch) {
     ValidateEdge(e.u, e.v, e.weight);
-    if (!EmplaceEdge(e.u, e.v, e.weight)) continue;
-    ++fresh;
-    per_node[e.u].push_back({e.v, e.weight});
-    per_node[e.v].push_back({e.u, e.weight});
+    if (EmplaceEdge(e.u, e.v, e.weight)) fresh.push_back(e);
   }
-  for (auto& [node, add] : per_node) {
-    std::sort(add.begin(), add.end(),
-              [](const PartialDistanceGraph::Neighbor& a,
-                 const PartialDistanceGraph::Neighbor& b) {
-                return a.id < b.id;
-              });
-    PublishNeighbors(node, add);
-  }
-  return fresh;
+  internal::ForEachNodeRun(
+      fresh, [this](ObjectId node, std::span<const WeightedEdge> run) {
+        PublishNeighbors(node, run);
+      });
+  return fresh.size();
 }
 
 ConcurrentDistanceGraph::Snapshot ConcurrentDistanceGraph::AdjacencySnapshot(

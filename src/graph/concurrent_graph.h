@@ -132,11 +132,11 @@ class ConcurrentDistanceGraph {
   /// CHECK-fails on a conflicting duplicate.
   bool EmplaceEdge(ObjectId i, ObjectId j, double d);
 
-  /// Copy-on-write publication: splices the (id, d) entries (sorted by id,
-  /// unique) into node `i`'s columns and swaps in the new epoch, all under
-  /// the node's shard lock.
-  void PublishNeighbors(ObjectId i,
-                        std::span<const PartialDistanceGraph::Neighbor> add);
+  /// Copy-on-write publication: copies node `i`'s current epoch, splices
+  /// the run into it (SpliceSortedRun: half-edges of `i`, strictly
+  /// ascending by neighbor, all fresh) and swaps in the new epoch, all
+  /// under the node's shard lock.
+  void PublishNeighbors(ObjectId i, std::span<const WeightedEdge> run);
 
   void ValidateEdge(ObjectId i, ObjectId j, double d) const;
 

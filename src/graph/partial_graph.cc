@@ -6,25 +6,30 @@
 
 namespace metricprox {
 
-namespace {
-
-/// Splices (id, d) into the AoS list and the SoA columns at the same rank,
-/// keeping all three sorted by id in lockstep.
-void InsertSorted(std::vector<PartialDistanceGraph::Neighbor>* list,
-                  std::vector<ObjectId>* ids, std::vector<double>* dists,
-                  ObjectId id, double d) {
-  auto it = std::lower_bound(
-      list->begin(), list->end(), id,
-      [](const PartialDistanceGraph::Neighbor& n, ObjectId key) {
-        return n.id < key;
-      });
-  const size_t rank = static_cast<size_t>(it - list->begin());
-  list->insert(it, PartialDistanceGraph::Neighbor{id, d});
-  ids->insert(ids->begin() + rank, id);
-  dists->insert(dists->begin() + rank, d);
+void internal::SpliceSortedRun(std::span<const WeightedEdge> run,
+                               std::vector<ObjectId>* ids,
+                               std::vector<double>* distances) {
+  DCHECK_EQ(ids->size(), distances->size());
+  size_t x = ids->size();
+  size_t out = x + run.size();
+  ids->resize(out);
+  distances->resize(out);
+  // Fill from the back: the larger of the two tails moves into the free
+  // slot. Once the run is used up, the remaining prefix is already in place.
+  for (size_t y = run.size(); y > 0;) {
+    --out;
+    if (x > 0 && (*ids)[x - 1] > run[y - 1].v) {
+      --x;
+      (*ids)[out] = (*ids)[x];
+      (*distances)[out] = (*distances)[x];
+    } else {
+      --y;
+      DCHECK(x == 0 || (*ids)[x - 1] != run[y].v) << "duplicate neighbor";
+      (*ids)[out] = run[y].v;
+      (*distances)[out] = run[y].weight;
+    }
+  }
 }
-
-}  // namespace
 
 void PartialDistanceGraph::Insert(ObjectId i, ObjectId j, double d) {
   CHECK_NE(i, j) << "self-edge";
@@ -32,8 +37,10 @@ void PartialDistanceGraph::Insert(ObjectId i, ObjectId j, double d) {
   CHECK_LT(j, num_objects());
   CHECK_GE(d, 0.0) << "negative distance from oracle";
   CHECK(Find(i, j) == nullptr) << "duplicate edge (" << i << ", " << j << ")";
-  InsertSorted(&adjacency_[i], &csr_ids_[i], &csr_dist_[i], j, d);
-  InsertSorted(&adjacency_[j], &csr_ids_[j], &csr_dist_[j], i, d);
+  const WeightedEdge to_i{i, j, d};
+  const WeightedEdge to_j{j, i, d};
+  internal::SpliceSortedRun({&to_i, 1}, &csr_ids_[i], &csr_dist_[i]);
+  internal::SpliceSortedRun({&to_j, 1}, &csr_ids_[j], &csr_dist_[j]);
   edges_.push_back(WeightedEdge{i, j, d});
 }
 
@@ -66,36 +73,15 @@ void PartialDistanceGraph::InsertEdges(std::span<const WeightedEdge> batch) {
         << "conflicting duplicate edge (" << e.u << ", " << e.v << ")";
     skip[order[r].second] = 1;
   }
-  std::vector<ObjectId> touched;
-  touched.reserve(2 * batch.size());
+  const size_t first_new = edges_.size();
   for (size_t k = 0; k < batch.size(); ++k) {
-    if (skip[k]) continue;
-    const WeightedEdge& e = batch[k];
-    adjacency_[e.u].push_back(Neighbor{e.v, e.weight});
-    adjacency_[e.v].push_back(Neighbor{e.u, e.weight});
-    touched.push_back(e.u);
-    touched.push_back(e.v);
-    edges_.push_back(e);
+    if (!skip[k]) edges_.push_back(batch[k]);
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const ObjectId id : touched) {
-    std::sort(adjacency_[id].begin(), adjacency_[id].end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    RebuildColumns(id);
-  }
-}
-
-void PartialDistanceGraph::RebuildColumns(ObjectId i) {
-  const std::vector<Neighbor>& list = adjacency_[i];
-  std::vector<ObjectId>& ids = csr_ids_[i];
-  std::vector<double>& dists = csr_dist_[i];
-  ids.resize(list.size());
-  dists.resize(list.size());
-  for (size_t k = 0; k < list.size(); ++k) {
-    ids[k] = list[k].id;
-    dists[k] = list[k].distance;
-  }
+  internal::ForEachNodeRun(
+      std::span<const WeightedEdge>(edges_).subspan(first_new),
+      [this](ObjectId node, std::span<const WeightedEdge> run) {
+        internal::SpliceSortedRun(run, &csr_ids_[node], &csr_dist_[node]);
+      });
 }
 
 }  // namespace metricprox

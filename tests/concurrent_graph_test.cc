@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -46,7 +47,12 @@ std::vector<WeightedEdge> CompleteGraphEdges(ObjectId n) {
   return edges;
 }
 
+/// Orients every edge lo -> hi and sorts by (lo, hi): the canonical form
+/// ConcurrentDistanceGraph::Edges() returns.
 std::vector<WeightedEdge> CanonicalSort(std::vector<WeightedEdge> edges) {
+  for (WeightedEdge& e : edges) {
+    if (e.u > e.v) std::swap(e.u, e.v);
+  }
   std::sort(edges.begin(), edges.end(),
             [](const WeightedEdge& a, const WeightedEdge& b) {
               return EdgeKey(a.u, a.v) < EdgeKey(b.u, b.v);
@@ -185,6 +191,63 @@ TEST(ConcurrentGraphTest, ConcurrentOverlappingExactDuplicates) {
   PartialDistanceGraph reference(n);
   reference.InsertEdges(std::vector<ResolvedEdge>(edges.begin(), edges.end()));
   ExpectParity(graph, reference);
+}
+
+TEST(ConcurrentGraphTest, SharedEndpointAndSplitBatchParity) {
+  // Both graph classes insert through the same sorted-column splice: feed
+  // them the batch shapes Prim and the coalescer produce — one endpoint
+  // shared by the whole batch (shuffled, with reversed repeats), one batch
+  // split across several InsertEdges calls, and single inserts landing
+  // inside long columns — and require identical state after each step.
+  const ObjectId n = 48;
+  std::mt19937_64 rng(53);
+  ConcurrentDistanceGraph graph(n, /*num_shards=*/5);
+  PartialDistanceGraph reference(n);
+  size_t fresh = 0;
+  const auto insert_both = [&](const std::vector<WeightedEdge>& batch) {
+    fresh += graph.InsertEdges(batch);
+    reference.InsertEdges(batch);
+    EXPECT_EQ(fresh, reference.num_edges());
+  };
+  for (ObjectId hub = 0; hub < n; hub += 7) {
+    std::vector<WeightedEdge> batch;
+    for (ObjectId v = 0; v < n; ++v) {
+      if (v != hub && v % 3 != hub % 3) {
+        batch.push_back(WeightedEdge{hub, v, EdgeWeight(hub, v)});
+      }
+    }
+    const size_t unique = batch.size();
+    for (size_t k = 0; k < unique; k += 2) {
+      batch.push_back(WeightedEdge{batch[k].v, hub, batch[k].weight});
+    }
+    std::shuffle(batch.begin(), batch.end(), rng);
+    insert_both(batch);
+    ExpectParity(graph, reference);
+  }
+  // One shuffled batch of every remaining pair, split into uneven chunks.
+  std::vector<WeightedEdge> rest;
+  for (const WeightedEdge& e : CompleteGraphEdges(n)) {
+    if (!reference.Has(e.u, e.v)) rest.push_back(e);
+  }
+  std::shuffle(rest.begin(), rest.end(), rng);
+  const size_t singles = 16;
+  for (size_t begin = singles; begin < rest.size();) {
+    const size_t len = std::min<size_t>(1 + rng() % 97, rest.size() - begin);
+    insert_both(std::vector<WeightedEdge>(rest.begin() + begin,
+                                          rest.begin() + begin + len));
+    begin += len;
+  }
+  ExpectParity(graph, reference);
+  // The held-back pairs go in one at a time, into full-length columns.
+  for (size_t k = 0; k < singles; ++k) {
+    EXPECT_TRUE(graph.Insert(rest[k].u, rest[k].v, rest[k].weight));
+    reference.Insert(rest[k].u, rest[k].v, rest[k].weight);
+  }
+  ExpectParity(graph, reference);
+  EXPECT_EQ(graph.num_edges(), static_cast<size_t>(n) * (n - 1) / 2);
+  for (ObjectId i = 0; i < n; ++i) {
+    EXPECT_EQ(graph.Degree(i), static_cast<size_t>(n - 1));
+  }
 }
 
 TEST(ConcurrentGraphTest, SnapshotInvariantsUnderHammeringWriter) {

@@ -1,6 +1,7 @@
 #include "graph/partial_graph.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -18,7 +19,8 @@ TEST(PartialGraphTest, EmptyGraphHasNoEdges) {
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_FALSE(g.Has(0, 1));
   EXPECT_FALSE(g.Get(0, 1).has_value());
-  EXPECT_TRUE(g.Neighbors(0).empty());
+  EXPECT_TRUE(g.AdjacencyView(0).ids.empty());
+  EXPECT_TRUE(g.AdjacencyView(0).distances.empty());
 }
 
 TEST(PartialGraphTest, InsertIsSymmetric) {
@@ -39,10 +41,11 @@ TEST(PartialGraphTest, AdjacencySortedById) {
   g.Insert(3, 1, 0.2);
   g.Insert(3, 4, 0.3);
   g.Insert(3, 0, 0.4);
-  const auto& nbrs = g.Neighbors(3);
-  ASSERT_EQ(nbrs.size(), 4u);
-  for (size_t i = 1; i < nbrs.size(); ++i) {
-    EXPECT_LT(nbrs[i - 1].id, nbrs[i].id);
+  const PartialDistanceGraph::AdjacencyColumns nbrs = g.AdjacencyView(3);
+  ASSERT_EQ(nbrs.ids.size(), 4u);
+  ASSERT_EQ(nbrs.distances.size(), 4u);
+  for (size_t i = 1; i < nbrs.ids.size(); ++i) {
+    EXPECT_LT(nbrs.ids[i - 1], nbrs.ids[i]);
   }
 }
 
@@ -101,12 +104,14 @@ TEST(PartialGraphTest, InsertEdgesMatchesSequentialInserts) {
     EXPECT_EQ(bulk.edges()[k], sequential.edges()[k]);
   }
   for (ObjectId i = 0; i < n; ++i) {
-    const auto& a = bulk.Neighbors(i);
-    const auto& b = sequential.Neighbors(i);
-    ASSERT_EQ(a.size(), b.size()) << "node " << i;
-    for (size_t k = 0; k < a.size(); ++k) {
-      EXPECT_EQ(a[k].id, b[k].id);
-      EXPECT_DOUBLE_EQ(a[k].distance, b[k].distance);
+    const PartialDistanceGraph::AdjacencyColumns a = bulk.AdjacencyView(i);
+    const PartialDistanceGraph::AdjacencyColumns b =
+        sequential.AdjacencyView(i);
+    ASSERT_EQ(a.ids.size(), b.ids.size()) << "node " << i;
+    ASSERT_EQ(a.distances.size(), b.distances.size()) << "node " << i;
+    for (size_t k = 0; k < a.ids.size(); ++k) {
+      EXPECT_EQ(a.ids[k], b.ids[k]);
+      EXPECT_DOUBLE_EQ(a.distances[k], b.distances[k]);
     }
     for (ObjectId j = 0; j < n; ++j) {
       if (i == j) continue;
@@ -135,10 +140,11 @@ TEST(PartialGraphTest, InsertEdgesExactDuplicateOfExistingIsNoOp) {
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.Get(2, 3), 0.25);
   EXPECT_EQ(g.Get(0, 2), 0.75);
-  // The adjacency list stays sorted and duplicate-free after the skip.
+  // The columns stay sorted and duplicate-free after the skip.
   ASSERT_EQ(g.Degree(2), 2u);
-  EXPECT_EQ(g.Neighbors(2)[0].id, 0u);
-  EXPECT_EQ(g.Neighbors(2)[1].id, 3u);
+  ASSERT_EQ(g.AdjacencyView(2).ids.size(), 2u);
+  EXPECT_EQ(g.AdjacencyView(2).ids[0], 0u);
+  EXPECT_EQ(g.AdjacencyView(2).ids[1], 3u);
 }
 
 TEST(PartialGraphTest, InsertEdgesRepeatedBulkLoadIsIdempotent) {
@@ -179,24 +185,45 @@ TEST(PartialGraphTest, InsertEdgesConflictingWithinBatchDies) {
   EXPECT_DEATH(g.InsertEdges(against_graph), "conflicting duplicate");
 }
 
-// The CSR-style SoA mirror (AdjacencyView) must agree with the AoS
-// adjacency (Neighbors) after every mutation path: it is the operand the
-// SIMD tri-kernel reads, so a divergence would silently change bounds.
-void ExpectViewConsistent(const PartialDistanceGraph& g) {
-  for (ObjectId i = 0; i < g.num_objects(); ++i) {
+// The columns (AdjacencyView) are the graph's only adjacency and the
+// operand the SIMD tri-kernel reads, so after every mutation path they must
+// equal an independent reference rebuilt from edges(): per node, strictly
+// ascending ids (the merge-intersection kernel requires it), a distance
+// column of the same length, and each edge present at both endpoints with
+// the bitwise-identical distance.
+void ExpectColumnsMatchEdges(const PartialDistanceGraph& g) {
+  const ObjectId n = g.num_objects();
+  std::vector<std::map<ObjectId, double>> reference(n);
+  for (const WeightedEdge& e : g.edges()) {
+    ASSERT_TRUE(reference[e.u].emplace(e.v, e.weight).second)
+        << "edges() repeats (" << e.u << ", " << e.v << ")";
+    ASSERT_TRUE(reference[e.v].emplace(e.u, e.weight).second);
+  }
+  for (ObjectId i = 0; i < n; ++i) {
     const PartialDistanceGraph::AdjacencyColumns view = g.AdjacencyView(i);
-    const auto& nbrs = g.Neighbors(i);
-    ASSERT_EQ(view.ids.size(), nbrs.size()) << "node " << i;
-    ASSERT_EQ(view.distances.size(), nbrs.size()) << "node " << i;
-    for (size_t k = 0; k < nbrs.size(); ++k) {
-      EXPECT_EQ(view.ids[k], nbrs[k].id) << "node " << i << " slot " << k;
-      // Bitwise: the columns are copies of the same doubles, not recomputed.
-      EXPECT_EQ(view.distances[k], nbrs[k].distance)
-          << "node " << i << " slot " << k;
+    ASSERT_EQ(view.ids.size(), view.distances.size()) << "node " << i;
+    ASSERT_EQ(view.ids.size(), reference[i].size()) << "node " << i;
+    EXPECT_EQ(g.Degree(i), view.ids.size()) << "node " << i;
+    size_t slot = 0;
+    for (const auto& [id, d] : reference[i]) {
+      EXPECT_EQ(view.ids[slot], id) << "node " << i << " slot " << slot;
+      // Bitwise: the columns hold the inserted doubles, not recomputed ones.
+      EXPECT_EQ(view.distances[slot], d) << "node " << i << " slot " << slot;
+      ++slot;
     }
-    // Strictly ascending ids — the merge-intersection kernel requires it.
     for (size_t k = 1; k < view.ids.size(); ++k) {
       EXPECT_LT(view.ids[k - 1], view.ids[k]) << "node " << i;
+    }
+    // Symmetry, read off the columns themselves: i appears in the column
+    // of each of its neighbors with the same distance.
+    for (size_t k = 0; k < view.ids.size(); ++k) {
+      const PartialDistanceGraph::AdjacencyColumns other =
+          g.AdjacencyView(view.ids[k]);
+      const auto it = std::lower_bound(other.ids.begin(), other.ids.end(), i);
+      ASSERT_TRUE(it != other.ids.end() && *it == i)
+          << "(" << i << ", " << view.ids[k] << ") is one-sided";
+      EXPECT_EQ(other.distances[static_cast<size_t>(it - other.ids.begin())],
+                view.distances[k]);
     }
   }
 }
@@ -219,7 +246,7 @@ TEST(PartialGraphTest, AdjacencyViewEmptyForIsolatedNodes) {
 
 TEST(PartialGraphTest, AdjacencyViewConsistentAfterInterleavedMutations) {
   // Interleave single inserts with bulk loads the way resolver + warm-start
-  // do in a real run, checking the mirror after every step.
+  // do in a real run, checking the columns every tenth step.
   std::mt19937_64 rng(23);
   const ObjectId n = 20;
   PartialDistanceGraph g(n);
@@ -241,14 +268,14 @@ TEST(PartialGraphTest, AdjacencyViewConsistentAfterInterleavedMutations) {
         pending.clear();
       }
     }
-    if (step % 10 == 0) ExpectViewConsistent(g);
+    if (step % 10 == 0) ExpectColumnsMatchEdges(g);
   }
   if (!pending.empty()) g.InsertEdges(pending);
-  ExpectViewConsistent(g);
+  ExpectColumnsMatchEdges(g);
 }
 
 TEST(PartialGraphTest, AdjacencyViewConsistentThroughDuplicateSkip) {
-  // The exact-duplicate skip path in InsertEdges must leave the mirror
+  // The exact-duplicate skip path in InsertEdges must leave the columns
   // untouched, including when the duplicate shares a batch with new edges.
   PartialDistanceGraph g(5);
   g.Insert(1, 3, 0.25);
@@ -257,7 +284,7 @@ TEST(PartialGraphTest, AdjacencyViewConsistentThroughDuplicateSkip) {
       WeightedEdge{0, 1, 0.5}};
   g.InsertEdges(batch);
   EXPECT_EQ(g.num_edges(), 2u);
-  ExpectViewConsistent(g);
+  ExpectColumnsMatchEdges(g);
   ASSERT_EQ(g.AdjacencyView(1).ids.size(), 2u);
   EXPECT_EQ(g.AdjacencyView(1).ids[0], 0u);
   EXPECT_EQ(g.AdjacencyView(1).ids[1], 3u);
@@ -265,7 +292,7 @@ TEST(PartialGraphTest, AdjacencyViewConsistentThroughDuplicateSkip) {
 
 TEST(PartialGraphTest, AdjacencyViewConsistentAfterWarmStartReload) {
   // Store warm start bulk-loads the same edges every run; the second load
-  // must leave the mirror bit-for-bit unchanged.
+  // must leave the columns bit-for-bit unchanged.
   const std::vector<WeightedEdge> batch = {WeightedEdge{0, 1, 1.0},
                                            WeightedEdge{1, 2, 2.0},
                                            WeightedEdge{3, 4, 0.5}};
@@ -279,7 +306,7 @@ TEST(PartialGraphTest, AdjacencyViewConsistentAfterWarmStartReload) {
     dist_before[i].assign(view.distances.begin(), view.distances.end());
   }
   g.InsertEdges(batch);
-  ExpectViewConsistent(g);
+  ExpectColumnsMatchEdges(g);
   for (ObjectId i = 0; i < 5; ++i) {
     const auto view = g.AdjacencyView(i);
     ASSERT_EQ(view.ids.size(), ids_before[i].size());
@@ -309,10 +336,12 @@ TEST(PartialGraphTest, LookupsAreSymmetricAndAgreeWithNeighbors) {
       g.Insert(e.u, e.v, e.weight);
     }
   }
+  ExpectColumnsMatchEdges(g);
   for (ObjectId i = 0; i < n; ++i) {
     std::vector<std::optional<double>> expected(n);
-    for (const PartialDistanceGraph::Neighbor& nb : g.Neighbors(i)) {
-      expected[nb.id] = nb.distance;
+    const PartialDistanceGraph::AdjacencyColumns view = g.AdjacencyView(i);
+    for (size_t k = 0; k < view.ids.size(); ++k) {
+      expected[view.ids[k]] = view.distances[k];
     }
     for (ObjectId j = 0; j < n; ++j) {
       EXPECT_EQ(g.Get(i, j), expected[j]) << "(" << i << ", " << j << ")";
@@ -343,7 +372,7 @@ TEST(PartialGraphTest, InsertEdgesSkipsRepeatsAndKeepsSpanOrder) {
   EXPECT_EQ(g.Degree(3), 1u);
   EXPECT_EQ(g.Degree(5), 1u);
   EXPECT_EQ(g.Get(7, 0), 0.25);
-  ExpectViewConsistent(g);
+  ExpectColumnsMatchEdges(g);
 }
 
 TEST(PartialGraphTest, InsertEdgesSharedEndpointBatchMatchesInserts) {
@@ -366,7 +395,93 @@ TEST(PartialGraphTest, InsertEdgesSharedEndpointBatchMatchesInserts) {
   for (const WeightedEdge& e : unique) sequential.Insert(e.u, e.v, e.weight);
   EXPECT_EQ(bulk.edges(), sequential.edges());
   EXPECT_EQ(bulk.Degree(0), static_cast<size_t>(n - 1));
-  ExpectViewConsistent(bulk);
+  ExpectColumnsMatchEdges(bulk);
+}
+
+TEST(PartialGraphTest, InsertEdgesInterleavedWithInsertMatchesOneByOne) {
+  // Every batch shape the resolver and the store produce, interleaved with
+  // single inserts: Prim-shaped batches (one fixed endpoint against a
+  // shuffled run of others, some already known), random batches, and
+  // batches with exact repeats in both orientations. The graph must equal a
+  // reference fed only the fresh edges, one Insert at a time, in span
+  // order: same edges(), same columns bit for bit.
+  const ObjectId n = 64;
+  std::mt19937_64 rng(41);
+  // A pure function of the pair, so every repeat is exact.
+  const auto weight = [](ObjectId a, ObjectId b) {
+    const EdgeKey key(a, b);
+    return 0.5 + 0.125 * static_cast<double>(key.lo()) +
+           0.0078125 * static_cast<double>(key.hi());
+  };
+  const auto random_node = [&] { return static_cast<ObjectId>(rng() % n); };
+  PartialDistanceGraph g(n);
+  PartialDistanceGraph reference(n);
+  const auto feed_reference = [&](std::span<const WeightedEdge> batch) {
+    for (const WeightedEdge& e : batch) {
+      if (!reference.Has(e.u, e.v)) reference.Insert(e.u, e.v, e.weight);
+    }
+  };
+  for (int round = 0; round < 60; ++round) {
+    std::vector<WeightedEdge> batch;
+    switch (round % 3) {
+      case 0: {  // Prim-shaped: one fixed endpoint, either orientation.
+        const ObjectId u = random_node();
+        for (ObjectId v = 0; v < n; ++v) {
+          if (v == u || rng() % 3 == 0) continue;
+          batch.push_back(rng() % 2 == 0 ? WeightedEdge{u, v, weight(u, v)}
+                                         : WeightedEdge{v, u, weight(u, v)});
+        }
+        std::shuffle(batch.begin(), batch.end(), rng);
+        break;
+      }
+      case 1:  // Random pairs, possibly known or repeated by chance.
+        while (batch.size() < 40) {
+          const ObjectId a = random_node();
+          const ObjectId b = random_node();
+          if (a != b) batch.push_back(WeightedEdge{a, b, weight(a, b)});
+        }
+        break;
+      default: {  // Exact repeats: fresh pairs, each copied in reverse.
+        while (batch.size() < 12) {
+          const ObjectId a = random_node();
+          const ObjectId b = random_node();
+          if (a != b) batch.push_back(WeightedEdge{a, b, weight(a, b)});
+        }
+        const std::vector<WeightedEdge> firsts = batch;
+        for (const WeightedEdge& e : firsts) {
+          batch.push_back(WeightedEdge{e.v, e.u, e.weight});
+        }
+        std::shuffle(batch.begin(), batch.end(), rng);
+        break;
+      }
+    }
+    g.InsertEdges(batch);
+    feed_reference(batch);
+    // A few single inserts between batches.
+    for (int s = 0; s < 5; ++s) {
+      const ObjectId a = random_node();
+      const ObjectId b = random_node();
+      if (a == b || g.Has(a, b)) continue;
+      g.Insert(a, b, weight(a, b));
+      reference.Insert(a, b, weight(a, b));
+    }
+    ASSERT_EQ(g.edges(), reference.edges()) << "round " << round;
+    for (ObjectId i = 0; i < n; ++i) {
+      const PartialDistanceGraph::AdjacencyColumns got = g.AdjacencyView(i);
+      const PartialDistanceGraph::AdjacencyColumns want =
+          reference.AdjacencyView(i);
+      ASSERT_TRUE(std::equal(got.ids.begin(), got.ids.end(), want.ids.begin(),
+                             want.ids.end()))
+          << "round " << round << " node " << i;
+      ASSERT_TRUE(std::equal(got.distances.begin(), got.distances.end(),
+                             want.distances.begin(), want.distances.end()))
+          << "round " << round << " node " << i;
+    }
+  }
+  // The run must have filled a good share of the graph for the Prim-shaped
+  // splices to have landed in the middle of long columns.
+  EXPECT_GT(g.num_edges(), static_cast<size_t>(n) * (n - 1) / 4);
+  ExpectColumnsMatchEdges(g);
 }
 
 TEST(PartialGraphTest, CommonNeighborMergeFindsExactlyTheTriangles) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/simd.h"
 #include "core/stats.h"
 #include "core/types.h"
 #include "obs/histogram.h"
@@ -353,6 +354,48 @@ RunInfo TestRunInfo() {
   info.trace_id = "test-trace";
   info.wall_seconds = 0.5;
   return info;
+}
+
+TEST(ResolverStatsTest, MergeSumsCountersAndMaxesGauges) {
+  // Every field set to 1 on both sides: counters sum to 2, the two gauges
+  // (tier id, peak sessions) keep 1.
+  ResolverStats one;
+#define METRICPROX_TEST_SET_ONE(type, name) one.name = static_cast<type>(1);
+  METRICPROX_RESOLVER_STATS_FIELDS(METRICPROX_TEST_SET_ONE)
+#undef METRICPROX_TEST_SET_ONE
+  ResolverStats total = one;
+  total += one;
+#define METRICPROX_TEST_EXPECT_MERGED(type, name)                    \
+  EXPECT_EQ(total.name,                                              \
+            static_cast<type>(IsResolverStatsGauge(#name) ? 1 : 2)) \
+      << #name;
+  METRICPROX_RESOLVER_STATS_FIELDS(METRICPROX_TEST_EXPECT_MERGED)
+#undef METRICPROX_TEST_EXPECT_MERGED
+  EXPECT_TRUE(IsResolverStatsGauge("kernel_dispatch"));
+  EXPECT_TRUE(IsResolverStatsGauge("sessions_active"));
+  EXPECT_FALSE(IsResolverStatsGauge("oracle_calls"));
+}
+
+TEST(ResolverStatsTest, MergedSessionStatsKeepTheKernelTier) {
+  // Four AVX2 sessions summed the documented way (per-session stats, then
+  // the pool's peak) must still report avx2 and a peak of 4 — a summed
+  // tier id (8) would be clamped to scalar by the report.
+  ResolverStats session;
+  session.kernel_dispatch = static_cast<uint64_t>(simd::Tier::kAvx2);
+  session.oracle_calls = 5;
+  ResolverStats total;
+  for (int s = 0; s < 4; ++s) total += session;
+  ResolverStats pool;
+  pool.sessions_active = 4;
+  total += pool;
+  EXPECT_EQ(total.kernel_dispatch, static_cast<uint64_t>(simd::Tier::kAvx2));
+  EXPECT_EQ(total.sessions_active, 4u);
+  EXPECT_EQ(total.oracle_calls, 20u);
+  const std::string text = RunReport(TestRunInfo(), total, nullptr).ToText();
+  const size_t row = text.find("kernel dispatch");
+  ASSERT_NE(row, std::string::npos);
+  const std::string line = text.substr(row, text.find('\n', row) - row);
+  EXPECT_NE(line.find("avx2"), std::string::npos) << line;
 }
 
 /// Extracts the member keys of the first `"stats":{...}` object. The stats
