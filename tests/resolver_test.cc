@@ -3,11 +3,15 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bounds/scheme.h"
 #include "bounds/tri.h"
+#include "bounds/weak.h"
+#include "oracle/weak_oracle.h"
 #include "tests/test_util.h"
 
 namespace metricprox {
@@ -69,44 +73,71 @@ TEST(ResolverTest, TriSchemeSavesProvableComparisons) {
 }
 
 TEST(ResolverTest, StatsComparisonsAddUp) {
-  ResolverStack stack = MakeRandomStack(12, 6);
-  TriBounder tri(stack.graph.get());
-  stack.resolver->SetBounder(&tri);
-  std::mt19937_64 rng(7);
-  for (int t = 0; t < 300; ++t) {
-    const ObjectId i = static_cast<ObjectId>(rng() % 12);
-    const ObjectId j = static_cast<ObjectId>(rng() % 12);
-    if (i == j) continue;
-    const double threshold = 0.1 * static_cast<double>(rng() % 12);
-    // Mix the two-sided comparison with the one-sided proof verbs so the
-    // partition below also covers the undecided bucket.
-    switch (t % 3) {
-      case 0:
-        stack.resolver->LessThan(i, j, threshold);
-        break;
-      case 1:
-        stack.resolver->ProvenGreaterThan(i, j, threshold);
-        break;
-      default:
-        stack.resolver->ProvenGreaterOrEqual(i, j, threshold);
-        break;
+  // Exact, then approximate with the weak oracle attached: every source a
+  // comparison can be settled by lands in exactly one bucket either way.
+  for (const bool approximate : {false, true}) {
+    ResolverStack stack = MakeRandomStack(12, 6);
+    TriBounder tri(stack.graph.get());
+    stack.resolver->SetBounder(&tri);
+    WeakOracle weak_oracle(stack.oracle.get(), WeakOracle::Options{1.5});
+    WeakBounder weak(&weak_oracle);
+    if (approximate) {
+      stack.resolver->SetPolicy(ResolutionPolicy{0.5, 0});
+      stack.resolver->SetWeakBounder(&weak);
     }
+    std::mt19937_64 rng(7);
+    for (int t = 0; t < 300; ++t) {
+      const ObjectId i = static_cast<ObjectId>(rng() % 12);
+      const ObjectId j = static_cast<ObjectId>(rng() % 12);
+      if (i == j) continue;
+      const double threshold = 0.1 * static_cast<double>(rng() % 12);
+      // Mix the two-sided comparisons with the one-sided proof verbs so the
+      // partition below also covers the undecided bucket.
+      switch (t % 4) {
+        case 0:
+          stack.resolver->LessThan(i, j, threshold);
+          break;
+        case 1:
+          stack.resolver->ProvenGreaterThan(i, j, threshold);
+          break;
+        case 2:
+          stack.resolver->ProvenGreaterOrEqual(i, j, threshold);
+          break;
+        default:
+          stack.resolver->PairLess(i, j, static_cast<ObjectId>(rng() % 12),
+                                   static_cast<ObjectId>(rng() % 12));
+          break;
+      }
+    }
+    const ResolverStats& s = stack.resolver->stats();
+    EXPECT_EQ(s.comparisons, s.decided_by_cache + s.decided_by_bounds +
+                                 s.decided_by_oracle + s.decided_by_slack +
+                                 s.decided_by_weak + s.undecided)
+        << (approximate ? "approximate" : "exact");
+    if (approximate) {
+      EXPECT_GT(s.decided_by_slack, 0u);
+      EXPECT_GT(s.decided_by_weak, 0u);
+    } else {
+      EXPECT_EQ(s.decided_by_slack + s.decided_by_weak, 0u);
+    }
+    // Every comparison charged to the oracle really reached it: with no
+    // batching in play here, decided_by_oracle can never exceed
+    // oracle_calls.
+    EXPECT_LE(s.decided_by_oracle, s.oracle_calls);
   }
-  const ResolverStats& s = stack.resolver->stats();
-  EXPECT_EQ(s.comparisons, s.decided_by_cache + s.decided_by_bounds +
-                               s.decided_by_oracle + s.undecided);
-  // Every comparison charged to the oracle really reached it: with no
-  // batching in play here, decided_by_oracle can never exceed oracle_calls.
-  EXPECT_LE(s.decided_by_oracle, s.oracle_calls);
 }
 
 // The core exactness property of the whole framework: under every scheme,
-// LessThan and PairLess return the ground-truth comparison outcome.
+// with and without the weak oracle, LessThan, PairLess and FilterLessThan
+// return the ground-truth comparison outcome, and a proof verb never proves
+// something false. Thresholds include ties: the exact distance of the
+// queried pair, and a distance the resolver already holds.
 class ResolverExactnessTest
-    : public ::testing::TestWithParam<std::tuple<SchemeKind, uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, uint64_t, bool>> {
+};
 
 TEST_P(ResolverExactnessTest, ComparisonsMatchGroundTruth) {
-  const auto [kind, seed] = GetParam();
+  const auto [kind, seed, with_weak] = GetParam();
   // DFT solves one or two dense LPs per undecided comparison and rebuilds
   // its constraint system after every resolution; a smaller instance keeps
   // this test meaningful without dominating the suite (especially under
@@ -120,26 +151,60 @@ TEST_P(ResolverExactnessTest, ComparisonsMatchGroundTruth) {
   options.max_distance = 1.0;
   auto bounder = MakeAndAttachScheme(kind, stack.resolver.get(), options);
   ASSERT_TRUE(bounder.ok()) << bounder.status();
+  WeakOracle weak_oracle(stack.oracle.get(),
+                         WeakOracle::Options{1.5, 0.0, seed});
+  WeakBounder weak(&weak_oracle);
+  if (with_weak) stack.resolver->SetWeakBounder(&weak);
 
   std::mt19937_64 rng(seed + 1);
+  const auto pick = [&rng, n] { return static_cast<ObjectId>(rng() % n); };
   for (int t = 0; t < trials; ++t) {
-    const ObjectId i = static_cast<ObjectId>(rng() % n);
-    const ObjectId j = static_cast<ObjectId>(rng() % n);
-    const ObjectId k = static_cast<ObjectId>(rng() % n);
-    const ObjectId l = static_cast<ObjectId>(rng() % n);
+    const ObjectId i = pick(), j = pick(), k = pick(), l = pick();
     if (i == j || k == l) continue;
     const double truth_ij = stack.oracle->Distance(i, j);
     const double truth_kl = stack.oracle->Distance(k, l);
-    if (t % 2 == 0) {
-      const double threshold = 0.05 * static_cast<double>(rng() % 25);
-      ASSERT_EQ(stack.resolver->LessThan(i, j, threshold),
-                truth_ij < threshold)
-          << SchemeKindName(kind) << " LessThan(" << i << "," << j << ","
-          << threshold << ")";
-    } else {
-      ASSERT_EQ(stack.resolver->PairLess(i, j, k, l), truth_ij < truth_kl)
-          << SchemeKindName(kind) << " PairLess(" << i << "," << j << ","
-          << k << "," << l << ")";
+    double threshold = 0.05 * static_cast<double>(rng() % 25);
+    if (t % 5 == 1) threshold = truth_ij;  // tie with the queried pair
+    if (t % 5 == 3) threshold = stack.resolver->Distance(k, l);  // resolved
+    const std::string what = std::string(SchemeKindName(kind)) +
+                             (with_weak ? "+weak" : "") + " (" +
+                             std::to_string(i) + "," + std::to_string(j) +
+                             ") vs " + std::to_string(threshold);
+    switch (t % 5) {
+      case 0:
+      case 1:
+        ASSERT_EQ(stack.resolver->LessThan(i, j, threshold),
+                  truth_ij < threshold)
+            << "LessThan " << what;
+        break;
+      case 2:
+        ASSERT_EQ(stack.resolver->PairLess(i, j, k, l), truth_ij < truth_kl)
+            << "PairLess " << what << " (" << k << "," << l << ")";
+        break;
+      case 3:
+        if (stack.resolver->ProvenGreaterThan(i, j, threshold)) {
+          ASSERT_GT(truth_ij, threshold) << "ProvenGreaterThan " << what;
+        }
+        if (stack.resolver->ProvenGreaterOrEqual(i, j, threshold)) {
+          ASSERT_GE(truth_ij, threshold) << "ProvenGreaterOrEqual " << what;
+        }
+        break;
+      default: {
+        // Repeated and symmetric pairs in one sweep, one of them at a tie.
+        const std::vector<IdPair> pairs = {IdPair{i, j}, IdPair{k, l},
+                                           IdPair{j, i}, IdPair{i, j}};
+        const std::vector<double> thresholds = {threshold, truth_kl, truth_ij,
+                                                threshold};
+        const std::vector<bool> out =
+            stack.resolver->FilterLessThan(pairs, thresholds);
+        for (size_t m = 0; m < pairs.size(); ++m) {
+          ASSERT_EQ(out[m],
+                    stack.oracle->Distance(pairs[m].i, pairs[m].j) <
+                        thresholds[m])
+              << "FilterLessThan[" << m << "] " << what;
+        }
+        break;
+      }
     }
   }
 }
@@ -151,7 +216,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          SchemeKind::kLaesa,
                                          SchemeKind::kTlaesa,
                                          SchemeKind::kDft),
-                       ::testing::Values(11, 17)));
+                       ::testing::Values(11, 17), ::testing::Bool()));
 
 TEST(ResolverTest, ProvenGreaterThanNeverCallsOracle) {
   ResolverStack stack = MakeRandomStack(10, 8);
@@ -324,6 +389,20 @@ TEST(ResolverBatchTest, FilterLessThanNegativeAndZeroThresholds) {
 TEST(ResolverBatchTest, OutOfRangeIdsDie) {
   ResolverStack stack = MakeRandomStack(6, 25);
   EXPECT_DEATH(stack.resolver->Distance(0, 6), "Check");
+  // Every comparison verb checks each id position at entry, before any
+  // read of the graph or the scheme.
+  EXPECT_DEATH(stack.resolver->Bounds(6, 0), "Check");
+  EXPECT_DEATH(stack.resolver->Bounds(0, 6), "Check");
+  EXPECT_DEATH(stack.resolver->LessThan(6, 0, 1.0), "Check");
+  EXPECT_DEATH(stack.resolver->LessThan(0, 6, 1.0), "Check");
+  EXPECT_DEATH(stack.resolver->ProvenGreaterThan(6, 0, 1.0), "Check");
+  EXPECT_DEATH(stack.resolver->ProvenGreaterThan(0, 6, 1.0), "Check");
+  EXPECT_DEATH(stack.resolver->ProvenGreaterOrEqual(6, 0, 1.0), "Check");
+  EXPECT_DEATH(stack.resolver->ProvenGreaterOrEqual(0, 6, 1.0), "Check");
+  EXPECT_DEATH(stack.resolver->PairLess(6, 0, 1, 2), "Check");
+  EXPECT_DEATH(stack.resolver->PairLess(0, 6, 1, 2), "Check");
+  EXPECT_DEATH(stack.resolver->PairLess(0, 1, 6, 2), "Check");
+  EXPECT_DEATH(stack.resolver->PairLess(0, 1, 2, 6), "Check");
   EXPECT_DEATH(
       stack.resolver->ResolveAll(std::vector<IdPair>{IdPair{0, 6}}),
       "Check");
