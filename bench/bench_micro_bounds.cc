@@ -101,6 +101,72 @@ void BM_TriBoundsSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_TriBoundsSweep);
 
+// The same sweep one layer up, through the resolver's decision pipeline:
+// a fixed query against every other node, reported per comparison. The
+// proof verb never resolves, so the shared graph stays untouched; the
+// threshold is the fixture's median resolved distance, so the sweep mixes
+// cache hits, scheme proofs and "not proven".
+double MedianResolvedDistance(const PartialDistanceGraph& graph) {
+  std::vector<double> weights;
+  for (const WeightedEdge& e : graph.edges()) weights.push_back(e.weight);
+  std::nth_element(weights.begin(), weights.begin() + weights.size() / 2,
+                   weights.end());
+  return weights[weights.size() / 2];
+}
+
+void BM_ResolverProvenSweep(benchmark::State& state) {
+  Fixture& f = SharedFixture();
+  BoundedResolver resolver(f.dataset.oracle.get(), &f.graph);
+  TriBounder tri(&f.graph);
+  resolver.SetBounder(&tri);
+  const double t = MedianResolvedDistance(f.graph);
+  std::mt19937_64 rng(17);
+  int64_t comparisons = 0;
+  for (auto _ : state) {
+    const ObjectId i = static_cast<ObjectId>(rng() % kN);
+    for (ObjectId j = 0; j < kN; ++j) {
+      if (j == i) continue;
+      benchmark::DoNotOptimize(resolver.ProvenGreaterThan(i, j, t));
+      ++comparisons;
+    }
+  }
+  state.SetItemsProcessed(comparisons);
+  state.counters["s_per_comparison"] = benchmark::Counter(
+      static_cast<double>(comparisons),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ResolverProvenSweep);
+
+// The batch verb over the same sweep: cache sweep, one DecideBatch, the
+// per-survivor tail and one batched resolution. Resolution mutates the
+// graph, so each iteration starts from a fresh copy (untimed).
+void BM_ResolverFilterLessThanSweep(benchmark::State& state) {
+  Fixture& f = SharedFixture();
+  const double t = MedianResolvedDistance(f.graph);
+  std::mt19937_64 rng(19);
+  int64_t comparisons = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PartialDistanceGraph graph = f.graph;
+    BoundedResolver resolver(f.dataset.oracle.get(), &graph);
+    TriBounder tri(&graph);
+    resolver.SetBounder(&tri);
+    const ObjectId i = static_cast<ObjectId>(rng() % kN);
+    std::vector<IdPair> pairs;
+    for (ObjectId j = 0; j < kN; ++j) {
+      if (j != i) pairs.push_back(IdPair{i, j});
+    }
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(resolver.FilterLessThan(pairs, t));
+    comparisons += static_cast<int64_t>(pairs.size());
+  }
+  state.SetItemsProcessed(comparisons);
+  state.counters["s_per_comparison"] = benchmark::Counter(
+      static_cast<double>(comparisons),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ResolverFilterLessThanSweep);
+
 void BM_SplubBoundsQuery(benchmark::State& state) {
   Fixture& f = SharedFixture();
   SplubBounder splub(&f.graph);
